@@ -2,18 +2,23 @@
 //
 // Node relaxations are solved by SimplexSolver with per-node bound
 // overrides (no model copies). Node selection is best-bound with
-// depth-first plunging so feasible incumbents appear early; branching picks
-// the most fractional integer variable. Lazy constraints — used by the
-// LET-DMA formulation for the cubic contiguity family (Constraint 6) — are
-// requested from a callback whenever a node relaxation is integral; any
-// returned rows are added globally and the node is re-solved.
+// depth-first plunging so feasible incumbents appear early. Branching uses
+// the pseudocost product rule (observed bound degradation per unit of
+// fractionality, down times up), falling back to the most fractional
+// integer variable while a variable has no history. Lazy constraints —
+// used by the LET-DMA formulation for the cubic contiguity family
+// (Constraint 6) — are requested from a callback whenever a node
+// relaxation is integral; any returned rows are added globally and the
+// node is re-solved.
 //
-// With MilpOptions::threads != 1 the node loop runs as a worker pool over
-// a shared best-bound queue: each worker owns a simplex workspace and
-// pseudocost table, prunes against an atomic global incumbent, and fires
+// One node step (bounds, relaxation, branching pick) and one commit of its
+// outcome serve three node-selection loops (see DESIGN.md §10). With
+// MilpOptions::threads != 1 the loop runs as a worker pool over a shared
+// best-bound queue: each worker owns its bound scratch and pseudocost
+// table, prunes against an atomic global incumbent, and fires
 // lazy/incumbent callbacks under a callback mutex. An optional
 // `deterministic` mode trades the plunging heuristic for thread-count
-// independent, reproducible exploration (see DESIGN.md §10).
+// independent, reproducible exploration.
 #pragma once
 
 #include <atomic>
@@ -67,8 +72,9 @@ struct MilpOptions {
   /// thread (`std::thread::hardware_concurrency`). 1 runs the classic
   /// sequential node loop, preserving its deterministic node order
   /// bit-identically. Larger values explore a shared best-bound queue
-  /// concurrently with per-worker simplex workspaces; node order then
-  /// depends on timing unless `deterministic` is set.
+  /// concurrently, each worker with its own bound scratch and pseudocost
+  /// table; node order then depends on timing unless `deterministic` is
+  /// set.
   int threads = 0;
   /// Reproducible parallel search: nodes are popped in best-bound order in
   /// fixed-size epochs, relaxations solve concurrently against an
