@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+
 #include "../test_fixtures.hpp"
 #include "letdma/baseline/giotto.hpp"
+#include "letdma/let/compiled.hpp"
+#include "letdma/let/schedule_io.hpp"
 #include "letdma/let/validate.hpp"
 #include "letdma/model/generator.hpp"
 #include "letdma/support/error.hpp"
+#include "letdma/waters/waters.hpp"
 
 namespace letdma::let {
 namespace {
@@ -110,6 +116,42 @@ TEST(LocalSearch, EmptyStartRejected) {
   LetComms lc(*app);
   ScheduleResult empty{MemoryLayout(*app), {}, {}};
   EXPECT_THROW(improve_schedule(lc, empty), support::PreconditionError);
+}
+
+TEST(LocalSearch, OnImprovementFiresOnInvokingThread) {
+  // One call per accepted move, on the caller's thread, with strictly
+  // decreasing objectives; the last call carries the returned schedule.
+  // Observing the search must not change its result.
+  const auto app = waters::make_waters_app();
+  LetComms lc(*app);
+  const CompiledComms compiled(lc);
+  const ScheduleResult start = GreedyScheduler::best_latency_ratio(lc);
+  LocalSearchOptions opt;
+  opt.max_evaluations = 1 << 20;
+  opt.max_improvements = 1 << 20;
+  const LocalSearchResult plain = improve_schedule(compiled, start, opt);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  double last = 1e300;
+  std::string last_text;
+  opt.on_improvement = [&](const ScheduleResult& s, double obj) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_FALSE(s.s0_transfers.empty());
+    EXPECT_LT(obj, last);  // strictly monotone improvements
+    last = obj;
+    last_text = write_schedule(*app, s);
+    ++calls;
+  };
+  const LocalSearchResult r = improve_schedule(compiled, start, opt);
+  EXPECT_GT(calls, 0);
+  EXPECT_EQ(calls, r.improvements);
+  EXPECT_EQ(last, r.objective);
+  EXPECT_EQ(last_text, write_schedule(*app, r.schedule));
+  EXPECT_EQ(r.evaluations, plain.evaluations);
+  EXPECT_EQ(r.objective, plain.objective);
+  EXPECT_EQ(write_schedule(*app, r.schedule),
+            write_schedule(*app, plain.schedule));
 }
 
 class LocalSearchRandom : public ::testing::TestWithParam<int> {};
