@@ -206,8 +206,8 @@ inline void append_metrics(const std::string& bench,
 }
 
 /// Appends the uniform engine fields for an outcome to a metrics record.
-/// Both thread knobs ride along so rows from 1-thread and N-thread runs
-/// of the same bench/config stay distinguishable.
+/// The MILP thread count rides along so rows from 1-thread and N-thread
+/// runs of the same bench/config stay distinguishable.
 inline void append_engine_metrics(const std::string& bench,
                                   const std::string& config,
                                   const engine::ScheduleOutcome& out,
@@ -219,7 +219,6 @@ inline void append_engine_metrics(const std::string& bench,
       {"wall_sec", out.wall_sec},
       {"cancelled", out.cancelled},
       {"milp_threads", static_cast<std::int64_t>(tuning.milp_threads)},
-      {"ls_threads", static_cast<std::int64_t>(tuning.ls_threads)},
   };
   if (out.schedule) {
     fields.push_back(

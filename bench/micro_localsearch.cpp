@@ -10,16 +10,6 @@
 //   ./micro_localsearch --check BASELINE     additionally compare the
 //       measured OBJ-DEL speedup against the committed baseline and exit
 //       non-zero when it regressed by more than 20%.
-//   ./micro_localsearch --threads N [--check BASELINE]
-//       parallel-scan mode: sequential compiled loop vs the deterministic
-//       N-thread scan, verifying bit-identity and (with --check, on a
-//       machine with >= 4 hardware threads) gating the parallel speedup
-//       against bench/baselines/ls_parallel_baseline.json plus the hard
-//       2.5x floor at 4 threads.
-//   ./micro_localsearch --determinism "1,2,4,8"
-//       run the deterministic parallel search at each listed thread count
-//       on both objectives and exit 2 unless every run is bit-identical
-//       (schedule text, objective bits, improvements, evaluations).
 //
 // Unknown --flags are rejected (exit 2): a typo'd gate flag must never
 // turn a CI gate into a silent no-op.
@@ -30,17 +20,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "letdma/let/compiled.hpp"
 #include "letdma/let/local_search.hpp"
-#include "letdma/let/schedule_io.hpp"
 
 namespace {
 
@@ -58,11 +43,10 @@ struct Sample {
 /// filters scheduler noise out of short runs.
 Sample measure(const let::LetComms& comms, const let::CompiledComms& compiled,
                const let::ScheduleResult& start, let::LocalSearchGoal goal,
-               let::LocalSearchEngine engine, int repeats, int threads = 1) {
+               let::LocalSearchEngine engine, int repeats) {
   let::LocalSearchOptions opt;
   opt.goal = goal;
   opt.engine = engine;
-  opt.threads = threads;  // deterministic scan: trajectory is unchanged
   // Convergence-bounded runs: both engines walk the identical accepted-move
   // trajectory to the same local optimum, so the evaluation counts match.
   opt.max_evaluations = 1 << 20;
@@ -95,184 +79,14 @@ const char* goal_name(let::LocalSearchGoal goal) {
   return goal == let::LocalSearchGoal::kMinTransfers ? "OBJ-DMAT" : "OBJ-DEL";
 }
 
-/// Bit-identity across runs: the deterministic contract compares the
-/// trajectory (evaluations, improvements), the objective bits and the
-/// serialized schedule text.
-bool identical(const model::Application& app, const let::LocalSearchResult& a,
-               const let::LocalSearchResult& b) {
-  return a.evaluations == b.evaluations &&
-         a.improvements == b.improvements && a.objective == b.objective &&
-         let::write_schedule(app, a.schedule) ==
-             let::write_schedule(app, b.schedule);
-}
-
-let::ScheduleResult start_for(const let::LetComms& comms,
-                              let::LocalSearchGoal goal) {
-  return goal == let::LocalSearchGoal::kMinTransfers
-             ? let::GreedyScheduler::best_transfer_count(comms)
-             : let::GreedyScheduler::best_latency_ratio(comms);
-}
-
-/// --determinism mode: the parallel scan must produce bit-identical
-/// results at every listed thread count, both objectives.
-int run_determinism(const model::Application& app, const let::LetComms& comms,
-                    const let::CompiledComms& compiled,
-                    const std::string& list) {
-  std::vector<int> counts;
-  std::stringstream ss(list);
-  for (std::string tok; std::getline(ss, tok, ',');) {
-    const int n = std::atoi(tok.c_str());
-    if (n < 1) {
-      std::fprintf(stderr, "bad thread count in --determinism list: '%s'\n",
-                   tok.c_str());
-      return 2;
-    }
-    counts.push_back(n);
-  }
-  if (counts.size() < 2) {
-    std::fprintf(stderr,
-                 "--determinism needs at least two thread counts, e.g. "
-                 "\"1,2,4,8\"\n");
-    return 2;
-  }
-  std::printf("determinism matrix on WATERS, threads = %s\n", list.c_str());
-  for (const let::LocalSearchGoal goal :
-       {let::LocalSearchGoal::kMinMaxLatencyRatio,
-        let::LocalSearchGoal::kMinTransfers}) {
-    const let::ScheduleResult start = start_for(comms, goal);
-    let::LocalSearchOptions opt;
-    opt.goal = goal;
-    opt.max_evaluations = 1 << 20;
-    opt.max_improvements = 1 << 20;
-    opt.deterministic = true;
-    opt.threads = counts[0];
-    const let::LocalSearchResult ref = improve_schedule(compiled, start, opt);
-    for (std::size_t i = 1; i < counts.size(); ++i) {
-      opt.threads = counts[i];
-      const let::LocalSearchResult r = improve_schedule(compiled, start, opt);
-      if (!identical(app, ref, r)) {
-        std::fprintf(stderr,
-                     "determinism violation under %s: threads=%d gives "
-                     "%d/%d/%.17g, threads=%d gives %d/%d/%.17g\n",
-                     goal_name(goal), counts[0], ref.evaluations,
-                     ref.improvements, ref.objective, counts[i],
-                     r.evaluations, r.improvements, r.objective);
-        return 2;
-      }
-    }
-    std::printf("%-10s %d thread counts bit-identical (%d evals, %d moves, "
-                "objective %.17g)\n",
-                goal_name(goal), static_cast<int>(counts.size()),
-                ref.evaluations, ref.improvements, ref.objective);
-  }
-  return 0;
-}
-
-/// --threads mode: sequential compiled loop vs the deterministic parallel
-/// scan; verifies bit-identity, emits metrics, optionally gates speedup.
-int run_parallel(const model::Application& app, const let::LetComms& comms,
-                 const let::CompiledComms& compiled, int threads,
-                 const std::string& baseline_path) {
-  constexpr int kRepeats = 5;
-  std::printf("parallel local-search scan on WATERS (%d threads)\n", threads);
-  std::printf("%-10s %-12s %10s %6s %12s %10s\n", "goal", "engine", "evals",
-              "moves", "evals/sec", "speedup");
-  double del_speedup = 0.0;
-  for (const let::LocalSearchGoal goal :
-       {let::LocalSearchGoal::kMinMaxLatencyRatio,
-        let::LocalSearchGoal::kMinTransfers}) {
-    const let::ScheduleResult start = start_for(comms, goal);
-    const Sample seq = measure(comms, compiled, start, goal,
-                               let::LocalSearchEngine::kCompiled, kRepeats, 1);
-    const Sample par =
-        measure(comms, compiled, start, goal,
-                let::LocalSearchEngine::kCompiled, kRepeats, threads);
-    if (!identical(app, seq.result, par.result)) {
-      std::fprintf(stderr,
-                   "parallel scan diverged under %s: sequential %d/%d/%.17g "
-                   "vs %d threads %d/%d/%.17g\n",
-                   goal_name(goal), seq.result.evaluations,
-                   seq.result.improvements, seq.result.objective, threads,
-                   par.result.evaluations, par.result.improvements,
-                   par.result.objective);
-      return 2;
-    }
-    const double speedup =
-        seq.evals_per_sec > 0.0 ? par.evals_per_sec / seq.evals_per_sec : 0.0;
-    if (goal == let::LocalSearchGoal::kMinMaxLatencyRatio) {
-      del_speedup = speedup;
-    }
-    std::printf("%-10s %-12s %10d %6d %12.0f %10s\n", goal_name(goal),
-                "sequential", seq.result.evaluations,
-                seq.result.improvements, seq.evals_per_sec, "1.0x");
-    std::printf("%-10s %dt-parallel %10d %6d %12.0f %9.2fx\n",
-                goal_name(goal), threads, par.result.evaluations,
-                par.result.improvements, par.evals_per_sec, speedup);
-    const std::string config =
-        std::string(goal == let::LocalSearchGoal::kMinTransfers
-                        ? "waters-dmat-par"
-                        : "waters-del-par") +
-        std::to_string(threads);
-    std::vector<obs::Arg> fields = {
-        {"threads", static_cast<std::int64_t>(threads)},
-        {"evaluations", static_cast<std::int64_t>(par.result.evaluations)},
-        {"improvements", static_cast<std::int64_t>(par.result.improvements)},
-        {"objective", par.result.objective},
-        {"sequential_evals_per_sec", seq.evals_per_sec},
-        {"parallel_evals_per_sec", par.evals_per_sec}};
-    // Only publish the gated field where 4 workers can actually run
-    // concurrently — letdma_report --check holds speedup_4t to the
-    // committed floor, and a row measured on a smaller host would fail
-    // the report for a gate this binary already declared skipped.
-    if (threads >= 4 && std::thread::hardware_concurrency() >= 4) {
-      fields.push_back({"speedup_4t", speedup});
-    }
-    bench::append_metrics("micro_localsearch", config, fields);
-  }
-
-  if (!baseline_path.empty()) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (threads < 4 || hw < 4) {
-      // Gate only where 4 workers can actually run concurrently; still
-      // print the "check:" marker the CI baseline guard greps for.
-      std::printf(
-          "check: parallel speedup gate skipped (threads=%d, "
-          "hardware_concurrency=%u < 4)\n",
-          threads, hw);
-      return 0;
-    }
-    const int rc = bench::check_baseline(
-        baseline_path, "speedup_4t", "parallel OBJ-DEL speedup", del_speedup);
-    if (rc != 0) return rc;
-    if (del_speedup < 2.5) {
-      std::printf("check: parallel OBJ-DEL speedup %.2fx below the hard "
-                  "2.5x floor: FAIL\n",
-                  del_speedup);
-      return 1;
-    }
-    return 0;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string baseline_path;
-  std::string determinism_list;
-  int par_threads = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--check" && i + 1 < argc) {
       baseline_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      par_threads = std::atoi(argv[++i]);
-      if (par_threads < 2) {
-        std::fprintf(stderr, "--threads needs a count >= 2\n");
-        return 2;
-      }
-    } else if (arg == "--determinism" && i + 1 < argc) {
-      determinism_list = argv[++i];
     } else {
       // A typo'd flag must fail loudly, not run the default mode under a
       // green exit code while CI believes a gate was applied.
@@ -284,13 +98,6 @@ int main(int argc, char** argv) {
   const auto app = waters::make_waters_app();
   const let::LetComms comms(*app);
   const let::CompiledComms compiled(comms);
-
-  if (!determinism_list.empty()) {
-    return run_determinism(*app, comms, compiled, determinism_list);
-  }
-  if (par_threads > 0) {
-    return run_parallel(*app, comms, compiled, par_threads, baseline_path);
-  }
   constexpr int kRepeats = 5;
 
   std::printf("local-search throughput on WATERS (%zu comms at s0)\n",

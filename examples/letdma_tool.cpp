@@ -34,12 +34,6 @@
 //                     hardware thread, 1 = the sequential node loop);
 //                     applies to the milp engine and to the milp strategy
 //                     inside portfolio/supervised
-//   --ls-threads <n>  local-search scan worker threads (0 = one per
-//                     hardware thread, 1 = the sequential loop); applies
-//                     to the ls engine and to the ls strategy inside
-//                     portfolio/supervised. The parallel scan is
-//                     deterministic: results are bit-identical for every
-//                     thread count
 //   --no-presolve-cuts  skip installing the MILP root presolve's
 //                     clique/cover cut rows (node counts grow; results
 //                     are unchanged)
@@ -59,6 +53,9 @@
 //   --deterministic   reproducible parallel MILP search (epoch-synchronized
 //                     node batches; the result is thread-count independent)
 //   -v                verbose: mirror events to stderr
+//
+// Any other argument starting with "-" (except "-" itself) is a usage
+// error, exit status 2.
 //
 // With "-" (or no arguments) a built-in demo model (the Fig. 1 system) is
 // used. See src/model/include/letdma/model/io.hpp for the application
@@ -118,10 +115,22 @@ int usage() {
       "       [--engine <name>] [--budget-ms <ms>] [--certify] "
       "[--faults <spec>]\n"
       "       [--save <file>] [--trace <file>] [--metrics <file>]\n"
-      "       [--flight <file>] [--threads <n>] [--ls-threads <n>]\n"
+      "       [--flight <file>] [--threads <n>]\n"
       "       [--deterministic] [--no-presolve-cuts]\n"
       "       [--fingerprint] [--diff <after-app-file>] [-v]\n");
   return 2;
+}
+
+/// The solver knobs the flags set, shared by the --diff and main paths.
+engine::EngineTuning make_tuning(const std::string& threads_flag,
+                                 bool deterministic, bool presolve_cuts) {
+  engine::EngineTuning tuning;
+  if (!threads_flag.empty()) {
+    tuning.milp_threads = std::atoi(threads_flag.c_str());
+  }
+  tuning.milp_deterministic = deterministic;
+  tuning.milp_presolve_cuts = presolve_cuts;
+  return tuning;
 }
 
 }  // namespace
@@ -130,7 +139,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> pos;
   std::string trace_path, metrics_path, save_path, flight_path, diff_path;
   std::string engine_flag, budget_ms_flag, faults_flag, threads_flag;
-  std::string ls_threads_flag;
   bool presolve_cuts_flag = true;
   bool verbose = false;
   bool certify_flag = false;
@@ -159,8 +167,6 @@ int main(int argc, char** argv) {
       certify_flag = true;
     } else if (arg == "--threads") {
       if (!value(&threads_flag)) return usage();
-    } else if (arg == "--ls-threads") {
-      if (!value(&ls_threads_flag)) return usage();
     } else if (arg == "--no-presolve-cuts") {
       presolve_cuts_flag = false;
     } else if (arg == "--deterministic") {
@@ -173,6 +179,8 @@ int main(int argc, char** argv) {
       if (!value(&faults_flag)) return usage();
     } else if (arg == "-v") {
       verbose = true;
+    } else if (arg.size() > 1 && arg[0] == '-') {
+      return usage();
     } else {
       pos.push_back(arg);
     }
@@ -296,18 +304,10 @@ int main(int argc, char** argv) {
                 d.summary().c_str(), model::magnitude(d),
                 model::structural_distance(*app, *after));
 
-    engine::EngineTuning tuning;
-    if (!threads_flag.empty()) {
-      tuning.milp_threads = std::atoi(threads_flag.c_str());
-    }
-    tuning.milp_deterministic = deterministic_flag;
-    if (!ls_threads_flag.empty()) {
-      tuning.ls_threads = std::atoi(ls_threads_flag.c_str());
-    }
-    tuning.milp_presolve_cuts = presolve_cuts_flag;
     engine::GuardOptions gopt;
     gopt.objective = eng_obj;
-    gopt.tuning = tuning;
+    gopt.tuning =
+        make_tuning(threads_flag, deterministic_flag, presolve_cuts_flag);
     const auto [base_out, base_record] =
         engine::solve_supervised(comms, gopt, timeout);
     if (!base_out.feasible()) {
@@ -388,11 +388,8 @@ int main(int argc, char** argv) {
     else if (objective == "del") eng_obj = engine::Objective::kMinMaxLatencyRatio;
     else return usage();
 
-    engine::EngineTuning tuning;
-    if (!threads_flag.empty()) tuning.milp_threads = std::atoi(threads_flag.c_str());
-    tuning.milp_deterministic = deterministic_flag;
-    if (!ls_threads_flag.empty()) tuning.ls_threads = std::atoi(ls_threads_flag.c_str());
-    tuning.milp_presolve_cuts = presolve_cuts_flag;
+    const engine::EngineTuning tuning =
+        make_tuning(threads_flag, deterministic_flag, presolve_cuts_flag);
 
     std::unique_ptr<engine::Scheduler> sched;
     if (scheduler == "milp" && verbose) {

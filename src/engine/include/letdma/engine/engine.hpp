@@ -242,14 +242,6 @@ struct EngineTuning {
   /// Reproducible epoch-synchronized parallel MILP search (see
   /// milp::MilpOptions::deterministic).
   bool milp_deterministic = false;
-  /// Worker threads for the local-search neighbourhood scan. 1 = the
-  /// sequential seed loop; 0 = one per hardware thread (see
-  /// let::LocalSearchOptions::threads).
-  int ls_threads = 1;
-  /// Deterministic parallel scan: the local search commits the globally
-  /// first improving move each round, so results are bit-identical for
-  /// every ls_threads value (see let::LocalSearchOptions::deterministic).
-  bool ls_deterministic = true;
   /// Install the MILP root presolve's clique/cover cuts (see
   /// milp::MilpOptions::presolve_cuts).
   bool milp_presolve_cuts = true;

@@ -135,8 +135,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
   if (name == "ls") {
     LocalSearchEngineOptions opt;
     opt.objective = objective;
-    opt.search.threads = tuning.ls_threads;
-    opt.search.deterministic = tuning.ls_deterministic;
     return std::make_unique<LocalSearchEngine>(opt);
   }
   if (name == "milp") {

@@ -54,28 +54,9 @@ struct LocalSearchOptions {
   const std::atomic<bool>* stop = nullptr;
   /// Invoked after every accepted move with the rebuilt schedule and its
   /// goal value — the engine adapter publishes these as incumbents so the
-  /// MILP warm start sees mid-search improvements. May be empty. Always
-  /// called from the invoking thread, never from a scan worker.
+  /// MILP warm start sees mid-search improvements. May be empty. Called
+  /// on the invoking thread; observing the search does not change it.
   std::function<void(const ScheduleResult&, double)> on_improvement;
-  /// Worker threads scanning the neighbourhood on the compiled engine.
-  /// 1 = the classic sequential loop (bit-identical to the seed, zero
-  /// threading overhead); 0 = one worker per hardware thread. Each worker
-  /// owns a DeltaEvaluator clone over the shared immutable CompiledComms
-  /// and explores a disjoint slice of the move list. The reference engine
-  /// ignores this.
-  int threads = 1;
-  /// Epoch-synchronized deterministic parallel scan (mirrors the MILP's
-  /// deterministic B&B): each round the move list is striped across
-  /// workers, every worker scans its slice in increasing global index, and
-  /// the committed move is the globally first improving one — the accepted
-  /// move sequence, objective, evaluation count and final schedule are
-  /// bit-identical to the sequential loop for every `threads` value (the
-  /// evaluation budget is charged at the sequential-equivalent cost, not
-  /// the speculative parallel cost). With false, workers claim candidates
-  /// dynamically and the first improvement found anywhere wins — faster,
-  /// but the trajectory depends on timing. Wall-clock limits and the stop
-  /// token remain timing-dependent in either mode.
-  bool deterministic = true;
 };
 
 struct LocalSearchResult {
@@ -83,7 +64,6 @@ struct LocalSearchResult {
   double objective = 0.0;  // goal value of `schedule`
   int improvements = 0;
   int evaluations = 0;
-  int threads_used = 1;  // resolved scan worker count for this run
 };
 
 /// Improves `start` under the goal; the result is never worse than the

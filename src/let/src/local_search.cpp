@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "letdma/let/compiled.hpp"
 #include "letdma/let/delta.hpp"
@@ -370,274 +366,6 @@ LocalSearchResult improve_compiled(const CompiledComms& compiled,
   return best;
 }
 
-// ---------------------------------------------------------------------------
-// Parallel compiled path. One master DeltaEvaluator drives move generation,
-// commits and materialization; each worker owns a clone (plain copy: the
-// evaluator is value-typed over a raw pointer to the shared immutable
-// CompiledComms) and scans a disjoint slice of the round's move list.
-//
-// Deterministic mode commits the globally *first* improving move:
-// indices are striped (index k belongs to worker k % W), every worker
-// scans its owned indices ascending, publishes its first improving index
-// through a CAS-min register, and stops as soon as its next owned index
-// exceeds the current register value. Every index below the final register
-// value was therefore evaluated and rejected by its owner, so the register
-// holds exactly the index the sequential loop would have accepted — the
-// trajectory is thread-count independent. The evaluation budget is charged
-// at the sequential cost (winner index + 1, or the scan length when no
-// move improves) and each round's scan range is capped to the remaining
-// budget, so budget exhaustion cuts the search at the same point as the
-// sequential loop, too.
-// ---------------------------------------------------------------------------
-
-int resolve_scan_threads(int requested) {
-  if (requested == 1) return 1;
-  if (requested > 1) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 1 ? static_cast<int>(hw) : 1;
-}
-
-/// Persistent worker pool: threads park between rounds on a generation
-/// counter (same protocol as the MILP solver's task pool) so per-round
-/// spawn cost is two condition-variable sweeps, not thread creation.
-class ScanPool {
- public:
-  ScanPool(int workers, std::function<void(int)> body)
-      : body_(std::move(body)) {
-    threads_.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      threads_.emplace_back([this, w] { run(w); });
-    }
-  }
-
-  ~ScanPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    start_cv_.notify_all();
-    for (std::thread& t : threads_) t.join();
-  }
-
-  /// Runs body(w) once on every worker; returns when all are done.
-  /// Rethrows the first worker exception.
-  void round() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++generation_;
-      pending_ = static_cast<int>(threads_.size());
-    }
-    start_cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-    if (error_ != nullptr) {
-      std::exception_ptr err = error_;
-      error_ = nullptr;
-      std::rethrow_exception(err);
-    }
-  }
-
- private:
-  void run(int w) {
-    long seen = 0;
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        start_cv_.wait(lock,
-                       [&] { return shutdown_ || generation_ > seen; });
-        if (shutdown_) return;
-        seen = generation_;
-      }
-      try {
-        body_(w);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (error_ == nullptr) error_ = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (--pending_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  std::function<void(int)> body_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  long generation_ = 0;
-  int pending_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr error_;
-};
-
-LocalSearchResult improve_parallel(const CompiledComms& compiled,
-                                   const ScheduleResult& start,
-                                   const LocalSearchOptions& options,
-                                   const int workers) {
-  constexpr int kNone = std::numeric_limits<int>::max();
-  SearchBudget budget(options);
-
-  std::vector<std::vector<int>> groups;
-  groups.reserve(start.s0_transfers.size());
-  for (const DmaTransfer& t : start.s0_transfers) {
-    std::vector<int> ids;
-    ids.reserve(t.comms.size());
-    for (const Communication& c : t.comms) {
-      ids.push_back(compiled.index_of(c));
-    }
-    groups.push_back(std::move(ids));
-  }
-  DeltaEvaluator master(compiled, std::move(groups), options.goal);
-
-  LocalSearchResult best{
-      ScheduleResult{MemoryLayout(compiled.app()), {}, {}}, 0.0, 0, 0,
-      workers};
-  ++best.evaluations;
-  {
-    const DeltaEval seed = master.evaluate_current();
-    LETDMA_ENSURE(seed.feasible,
-                  "the starting schedule does not rebuild feasibly");
-    best.objective = seed.objective;
-  }
-
-  // Per-worker evaluator clones, kept in lockstep with the master by
-  // replaying every committed move (each worker replays on its own clone
-  // at the start of the next round, so the catch-up parallelizes too).
-  std::vector<DeltaEvaluator> clones(static_cast<std::size_t>(workers),
-                                     master);
-
-  // Shared round state. Written by the main thread between rounds, read by
-  // workers during one; the pool's start/done synchronization orders the
-  // two phases.
-  struct Proposal {
-    int index = -1;
-    DeltaEval eval;
-  };
-  std::vector<ScheduleDelta> moves;
-  std::vector<Proposal> proposed(static_cast<std::size_t>(workers));
-  ScheduleDelta last_committed;
-  const ScheduleDelta* catch_up = nullptr;  // &last_committed when set
-  int scan_limit = 0;
-  std::atomic<int> winner{kNone};
-  std::atomic<int> claim{0};       // non-deterministic candidate cursor
-  std::atomic<int> global_evals{0};  // non-deterministic budget counter
-  std::atomic<bool> expired{false};
-
-  static obs::Counter accepted("let.local_search.accepted");
-  static obs::Counter rejected("let.local_search.rejected");
-
-  auto scan = [&](int w) {
-    DeltaEvaluator& ev = clones[static_cast<std::size_t>(w)];
-    if (catch_up != nullptr) ev.apply(*catch_up);
-    proposed[static_cast<std::size_t>(w)].index = -1;
-    if (options.deterministic) {
-      for (int k = w; k < scan_limit; k += workers) {
-        if (k > winner.load(std::memory_order_acquire)) return;
-        if (!budget.left(0, 0)) {  // stop token / wall clock only
-          expired.store(true, std::memory_order_relaxed);
-          return;
-        }
-        const DeltaEval cand =
-            ev.evaluate(moves[static_cast<std::size_t>(k)]);
-        if (cand.feasible && cand.objective < best.objective - 1e-12) {
-          proposed[static_cast<std::size_t>(w)] = {k, cand};
-          int cur = winner.load(std::memory_order_relaxed);
-          while (k < cur &&
-                 !winner.compare_exchange_weak(cur, k,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed)) {
-          }
-          return;  // first owned improvement: smaller owned indices done
-        }
-        rejected.add();
-      }
-    } else {
-      for (;;) {
-        if (winner.load(std::memory_order_acquire) != kNone) return;
-        const int k = claim.fetch_add(1, std::memory_order_relaxed);
-        if (k >= scan_limit) return;
-        const int e = global_evals.fetch_add(1, std::memory_order_relaxed);
-        if (!budget.left(e, best.improvements)) {
-          expired.store(true, std::memory_order_relaxed);
-          return;
-        }
-        const DeltaEval cand =
-            ev.evaluate(moves[static_cast<std::size_t>(k)]);
-        if (cand.feasible && cand.objective < best.objective - 1e-12) {
-          int exp = kNone;
-          if (winner.compare_exchange_strong(exp, k,
-                                             std::memory_order_release)) {
-            proposed[static_cast<std::size_t>(w)] = {k, cand};
-          }
-          return;
-        }
-        rejected.add();
-      }
-    }
-  };
-  ScanPool pool(workers, scan);
-
-  bool materialized = false;
-  for (;;) {
-    if (!budget.left(best.evaluations, best.improvements)) break;
-    moves.clear();
-    MoveGen gen(master);
-    while (const std::optional<ScheduleDelta> move = gen.next()) {
-      moves.push_back(*move);
-    }
-    const int n_moves = static_cast<int>(moves.size());
-    scan_limit = options.deterministic
-                     ? std::min(n_moves,
-                                options.max_evaluations - best.evaluations)
-                     : n_moves;
-    winner.store(kNone, std::memory_order_relaxed);
-    claim.store(0, std::memory_order_relaxed);
-    global_evals.store(best.evaluations, std::memory_order_relaxed);
-
-    pool.round();
-
-    const int win = winner.load(std::memory_order_acquire);
-    if (options.deterministic) {
-      best.evaluations += win == kNone ? scan_limit : win + 1;
-    } else {
-      best.evaluations =
-          std::min(global_evals.load(std::memory_order_relaxed),
-                   options.max_evaluations);
-    }
-    if (win == kNone) {
-      // No improvement in range: either the neighbourhood is exhausted
-      // (converged) or the budget cut the scan short — stop either way,
-      // exactly like the sequential loop.
-      break;
-    }
-    last_committed = moves[static_cast<std::size_t>(win)];
-    const DeltaEval win_eval = [&] {
-      for (const Proposal& p : proposed) {
-        if (p.index == win) return p.eval;
-      }
-      LETDMA_ENSURE(false, "winning move has no recorded proposal");
-      return DeltaEval{};
-    }();
-    accepted.add();
-    master.apply(last_committed);
-    catch_up = &last_committed;  // workers replay at next round start
-    best.objective = win_eval.objective;
-    best.improvements += 1;
-    if (options.on_improvement) {
-      best.schedule = master.materialize();
-      materialized = true;
-      options.on_improvement(best.schedule, best.objective);
-    } else {
-      materialized = false;
-    }
-    if (expired.load(std::memory_order_relaxed)) break;
-  }
-  if (!materialized) best.schedule = master.materialize();
-  return best;
-}
-
 LocalSearchResult improve_any(const LetComms& comms,
                               const CompiledComms* compiled,
                               const ScheduleResult& start,
@@ -660,27 +388,21 @@ LocalSearchResult improve_any(const LetComms& comms,
     return hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
   });
   sampler.start();
-  const int scan_threads = resolve_scan_threads(options.threads);
   LocalSearchResult best = [&]() {
     if (options.engine == LocalSearchEngine::kReference) {
       return improve_reference(comms, start, options);
     }
     if (compiled != nullptr) {
-      return scan_threads > 1
-                 ? improve_parallel(*compiled, start, options, scan_threads)
-                 : improve_compiled(*compiled, start, options);
+      return improve_compiled(*compiled, start, options);
     }
     const CompiledComms local(comms);
-    return scan_threads > 1
-               ? improve_parallel(local, start, options, scan_threads)
-               : improve_compiled(local, start, options);
+    return improve_compiled(local, start, options);
   }();
   static obs::Counter evaluations("let.local_search.evaluations");
   evaluations.add(best.evaluations);
   span.arg("evaluations", static_cast<std::int64_t>(best.evaluations));
   span.arg("improvements", static_cast<std::int64_t>(best.improvements));
   span.arg("objective", best.objective);
-  span.arg("threads", static_cast<std::int64_t>(best.threads_used));
   return best;
 }
 
