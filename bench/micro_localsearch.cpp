@@ -1,9 +1,10 @@
 // Local-search throughput harness: candidate evaluations per second on the
-// WATERS case study, seed rebuild-per-candidate path (kReference) against
-// the compiled-instance delta evaluator (kCompiled). Both engines must
-// agree exactly (evaluations, improvements, objective bits) — this binary
-// aborts with a diagnostic if they ever diverge, so the perf numbers can
-// never come from paths that drifted apart.
+// WATERS case study, the seed rebuild-per-candidate search
+// (tests/support/ls_reference.hpp) against the library's compiled-instance
+// delta evaluator. Both must agree exactly (evaluations, improvements,
+// objective bits) — this binary aborts with a diagnostic if they ever
+// diverge, so the perf numbers can never come from paths that drifted
+// apart.
 //
 // Modes:
 //   ./micro_localsearch                      print the table, emit metrics
@@ -26,6 +27,7 @@
 #include "bench_util.hpp"
 #include "letdma/let/compiled.hpp"
 #include "letdma/let/local_search.hpp"
+#include "ls_reference.hpp"
 
 namespace {
 
@@ -41,23 +43,8 @@ struct Sample {
 /// Runs one full (converged) improvement pass `repeats` times and keeps
 /// the fastest wall time — the standard repeat-and-best protocol that
 /// filters scheduler noise out of short runs.
-Sample measure(const let::LetComms& comms, const let::CompiledComms& compiled,
-               const let::ScheduleResult& start, let::LocalSearchGoal goal,
-               let::LocalSearchEngine engine, int repeats) {
-  let::LocalSearchOptions opt;
-  opt.goal = goal;
-  opt.engine = engine;
-  // Convergence-bounded runs: both engines walk the identical accepted-move
-  // trajectory to the same local optimum, so the evaluation counts match.
-  opt.max_evaluations = 1 << 20;
-  opt.max_improvements = 1 << 20;
-
-  const bool use_compiled = engine == let::LocalSearchEngine::kCompiled;
-  const auto run = [&] {
-    return use_compiled ? improve_schedule(compiled, start, opt)
-                        : improve_schedule(comms, start, opt);
-  };
-
+template <class Search>
+Sample measure(const Search& run, int repeats) {
   let::LocalSearchResult first = run();  // warm-up, also the reported result
   double best_sec = 1e300;
   for (int r = 0; r < repeats; ++r) {
@@ -113,17 +100,24 @@ int main(int argc, char** argv) {
         goal == let::LocalSearchGoal::kMinTransfers
             ? let::GreedyScheduler::best_transfer_count(comms)
             : let::GreedyScheduler::best_latency_ratio(comms);
-    const Sample ref = measure(comms, compiled, start, goal,
-                               let::LocalSearchEngine::kReference, kRepeats);
-    const Sample fast = measure(comms, compiled, start, goal,
-                                let::LocalSearchEngine::kCompiled, kRepeats);
+    let::LocalSearchOptions opt;
+    opt.goal = goal;
+    // Convergence-bounded runs: both searches walk the identical
+    // accepted-move trajectory to the same local optimum, so the
+    // evaluation counts match.
+    opt.max_evaluations = 1 << 20;
+    opt.max_improvements = 1 << 20;
+    const Sample ref = measure(
+        [&] { return let::reference::improve(comms, start, opt); }, kRepeats);
+    const Sample fast = measure(
+        [&] { return let::improve_schedule(compiled, start, opt); }, kRepeats);
 
     // The equivalence gate: identical trajectories or the numbers are void.
     if (ref.result.evaluations != fast.result.evaluations ||
         ref.result.improvements != fast.result.improvements ||
         ref.result.objective != fast.result.objective) {
       std::fprintf(stderr,
-                   "engines diverged under %s: reference %d/%d/%.17g vs "
+                   "searches diverged under %s: reference %d/%d/%.17g vs "
                    "compiled %d/%d/%.17g\n",
                    goal_name(goal), ref.result.evaluations,
                    ref.result.improvements, ref.result.objective,

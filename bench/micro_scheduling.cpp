@@ -24,8 +24,7 @@ std::unique_ptr<model::Application> chain_app(int n) {
   return generate_application(opt);
 }
 
-void local_search_improve(benchmark::State& state,
-                          let::LocalSearchEngine engine) {
+void BM_LocalSearchImprove(benchmark::State& state) {
   const auto app = chain_app(static_cast<int>(state.range(0)));
   const let::LetComms comms(*app);
   if (comms.comms_at_s0().empty()) {
@@ -35,25 +34,12 @@ void local_search_improve(benchmark::State& state,
   const let::ScheduleResult start = let::GreedyScheduler(comms).build();
   for (auto _ : state) {
     let::LocalSearchOptions opt;
-    opt.engine = engine;
     opt.max_evaluations = 100;
     const let::LocalSearchResult r = improve_schedule(comms, start, opt);
     benchmark::DoNotOptimize(r.objective);
   }
 }
-
-void BM_LocalSearchImprove(benchmark::State& state) {
-  local_search_improve(state, let::LocalSearchEngine::kCompiled);
-}
 BENCHMARK(BM_LocalSearchImprove)->Arg(8)->Arg(12);
-
-// The seed rebuild-per-candidate evaluator, kept as the A/B partner of
-// BM_LocalSearchImprove; the gap between the two is the delta-evaluation
-// win on synthetic chains (micro_localsearch gates the WATERS ratio).
-void BM_LocalSearchImproveReference(benchmark::State& state) {
-  local_search_improve(state, let::LocalSearchEngine::kReference);
-}
-BENCHMARK(BM_LocalSearchImproveReference)->Arg(8)->Arg(12);
 
 void BM_Presolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

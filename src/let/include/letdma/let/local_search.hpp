@@ -10,9 +10,10 @@
 // (letdma/let/delta.hpp): feasibility from maintained order counters, the
 // objective from cached group decompositions and the instant-class sweep.
 // A full ScheduleResult is only rebuilt when a move is accepted. The
-// verdicts match the seed rebuild-per-candidate path exactly (kept as
-// LocalSearchEngine::kReference for A/B benchmarking and the equivalence
-// test); hill climbing with first-improvement, deterministic.
+// verdicts match the seed rebuild-per-candidate path exactly (kept outside
+// the library in tests/support/ls_reference.hpp as the equivalence oracle
+// and the benchmark denominator); hill climbing with first-improvement,
+// sequential and deterministic.
 //
 // This is an extension beyond the paper: a cheap anytime optimizer that
 // closes much of the gap to the MILP on large instances and provides its
@@ -33,16 +34,8 @@ enum class LocalSearchGoal {
   kMinTransfers,        // the OBJ-DMAT metric (Eq. 4 proxy: s0 transfers)
 };
 
-/// Which evaluator scores candidates. Both produce identical accepted-move
-/// sequences, objectives and schedules (delta_equivalence_test pins this).
-enum class LocalSearchEngine {
-  kCompiled,   // delta evaluation on the compiled instance (default)
-  kReference,  // rebuild every candidate via build_from_groups (seed path)
-};
-
 struct LocalSearchOptions {
   LocalSearchGoal goal = LocalSearchGoal::kMinMaxLatencyRatio;
-  LocalSearchEngine engine = LocalSearchEngine::kCompiled;
   /// Stop after this many accepted improvements.
   int max_improvements = 100;
   /// Stop after this many candidate evaluations.

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 
 #include "letdma/let/compiled.hpp"
 #include "letdma/let/delta.hpp"
-#include "letdma/let/latency.hpp"
 #include "letdma/obs/obs.hpp"
 #include "letdma/obs/sampler.hpp"
 #include "letdma/support/error.hpp"
@@ -15,11 +13,9 @@
 namespace letdma::let {
 namespace {
 
-using Groups = std::vector<std::vector<Communication>>;
-
-/// Budget shared by both evaluator paths; semantics match the seed: the
-/// stop token and the wall clock are polled before every candidate, the
-/// evaluation and improvement caps are strict.
+/// Search budget; semantics match the seed: the stop token and the wall
+/// clock are polled before every candidate, the evaluation and improvement
+/// caps are strict.
 class SearchBudget {
  public:
   explicit SearchBudget(const LocalSearchOptions& opt) : opt_(opt) {
@@ -46,199 +42,11 @@ class SearchBudget {
       std::chrono::steady_clock::time_point::max();
 };
 
-// ---------------------------------------------------------------------------
-// Reference path: the seed evaluator. Every candidate partition is
-// materialized, rebuilt via build_from_groups and scored from the full
-// worst-case latency recomputation. Kept callable (LocalSearchEngine::
-// kReference) as the ground truth the compiled path is benchmarked and
-// equivalence-tested against.
-// ---------------------------------------------------------------------------
-
-/// Properties 1-2 on an ordered partition (cheap pre-filter before the
-/// expensive rebuild): per task, writes strictly before reads; per label,
-/// the write strictly before every read.
-bool order_feasible(const Groups& groups) {
-  std::map<int, int> task_write_max, task_read_min;
-  std::map<int, int> label_write, label_read_min;
-  for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
-    for (const Communication& c : groups[static_cast<std::size_t>(gi)]) {
-      if (c.dir == Direction::kWrite) {
-        auto [it, fresh] = task_write_max.try_emplace(c.task.value, gi);
-        if (!fresh) it->second = std::max(it->second, gi);
-        label_write[c.label.value] = gi;
-      } else {
-        auto [it, fresh] = task_read_min.try_emplace(c.task.value, gi);
-        if (!fresh) it->second = std::min(it->second, gi);
-        auto [lt, lfresh] = label_read_min.try_emplace(c.label.value, gi);
-        if (!lfresh) lt->second = std::min(lt->second, gi);
-      }
-    }
-  }
-  for (const auto& [task, wmax] : task_write_max) {
-    const auto it = task_read_min.find(task);
-    if (it != task_read_min.end() && wmax >= it->second) return false;
-  }
-  for (const auto& [label, wg] : label_write) {
-    const auto it = label_read_min.find(label);
-    if (it != label_read_min.end() && wg >= it->second) return false;
-  }
-  return true;
-}
-
-struct Evaluation {
-  bool feasible = false;
-  double objective = 0.0;
-};
-
-class ReferenceSearch {
- public:
-  ReferenceSearch(const LetComms& comms, const LocalSearchOptions& options)
-      : comms_(comms), app_(comms.app()), opt_(options) {}
-
-  Evaluation evaluate(const Groups& groups, ScheduleResult* out) {
-    Evaluation ev;
-    if (!order_feasible(groups)) return ev;
-    ScheduleResult built = build_from_groups(comms_, groups);
-    // Deadlines (where set) must hold at every instant.
-    const std::vector<Time> wc = worst_case_latencies(
-        comms_, built.schedule, ReadinessSemantics::kProposed);
-    double worst_ratio = 0.0;
-    for (int task = 0; task < static_cast<int>(wc.size()); ++task) {
-      const model::Task& t = app_.task(model::TaskId{task});
-      const Time lam = wc[static_cast<std::size_t>(task)];
-      if (t.acquisition_deadline && lam > *t.acquisition_deadline) return ev;
-      worst_ratio = std::max(worst_ratio, static_cast<double>(lam) /
-                                              static_cast<double>(t.period));
-    }
-    ev.feasible = true;
-    ev.objective = opt_.goal == LocalSearchGoal::kMinTransfers
-                       ? static_cast<double>(built.s0_transfers.size())
-                       : worst_ratio;
-    if (out != nullptr) *out = std::move(built);
-    return ev;
-  }
-
- private:
-  const LetComms& comms_;
-  const model::Application& app_;
-  const LocalSearchOptions& opt_;
-};
-
-/// Candidate neighbours of a partition, in deterministic order (reference
-/// path only; the compiled path enumerates the same moves lazily).
-std::vector<Groups> neighbours(const model::Application& app,
-                               const Groups& g) {
-  std::vector<Groups> out;
-  const int n = static_cast<int>(g.size());
-  // Relocations (bounded window to keep the neighbourhood manageable).
-  for (int i = 0; i < n; ++i) {
-    for (int j = std::max(0, i - 4); j <= std::min(n - 1, i + 4); ++j) {
-      if (i == j) continue;
-      Groups cand = g;
-      std::vector<Communication> moved =
-          std::move(cand[static_cast<std::size_t>(i)]);
-      cand.erase(cand.begin() + i);
-      cand.insert(cand.begin() + j, std::move(moved));
-      out.push_back(std::move(cand));
-    }
-  }
-  // Merges of compatible groups.
-  auto group_key = [&](const std::vector<Communication>& grp) {
-    return std::pair<int, int>{
-        let::local_memory_of(app, grp.front()).value,
-        grp.front().dir == Direction::kWrite ? 0 : 1};
-  };
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (group_key(g[static_cast<std::size_t>(i)]) !=
-          group_key(g[static_cast<std::size_t>(j)])) {
-        continue;
-      }
-      Groups cand = g;
-      auto& dst = cand[static_cast<std::size_t>(i)];
-      dst.insert(dst.end(), cand[static_cast<std::size_t>(j)].begin(),
-                 cand[static_cast<std::size_t>(j)].end());
-      cand.erase(cand.begin() + j);
-      out.push_back(std::move(cand));
-    }
-  }
-  // Splits of multi-communication groups (in half).
-  for (int i = 0; i < n; ++i) {
-    const auto& grp = g[static_cast<std::size_t>(i)];
-    if (grp.size() < 2) continue;
-    Groups cand = g;
-    const std::size_t half = grp.size() / 2;
-    std::vector<Communication> tail(
-        grp.begin() + static_cast<std::ptrdiff_t>(half), grp.end());
-    cand[static_cast<std::size_t>(i)].resize(half);
-    cand.insert(cand.begin() + i + 1, std::move(tail));
-    out.push_back(std::move(cand));
-  }
-  return out;
-}
-
-LocalSearchResult improve_reference(const LetComms& comms,
-                                    const ScheduleResult& start,
-                                    const LocalSearchOptions& options) {
-  ReferenceSearch search(comms, options);
-  SearchBudget budget(options);
-
-  // Seed partition: one group per starting transfer.
-  Groups groups;
-  for (const DmaTransfer& t : start.s0_transfers) {
-    groups.push_back(t.comms);
-  }
-
-  LocalSearchResult best{ScheduleResult{MemoryLayout(comms.app()), {}, {}},
-                         0.0, 0, 0};
-  {
-    ScheduleResult rebuilt{MemoryLayout(comms.app()), {}, {}};
-    ++best.evaluations;
-    const Evaluation ev = search.evaluate(groups, &rebuilt);
-    LETDMA_ENSURE(ev.feasible,
-                  "the starting schedule does not rebuild feasibly");
-    best.schedule = std::move(rebuilt);
-    best.objective = ev.objective;
-  }
-
-  bool improved = true;
-  while (improved && budget.left(best.evaluations, best.improvements)) {
-    improved = false;
-    for (Groups& cand : neighbours(comms.app(), groups)) {
-      if (!budget.left(best.evaluations, best.improvements)) break;
-      ScheduleResult built{MemoryLayout(comms.app()), {}, {}};
-      ++best.evaluations;
-      static obs::Counter accepted("let.local_search.accepted");
-      static obs::Counter rejected("let.local_search.rejected");
-      const Evaluation ev = search.evaluate(cand, &built);
-      if (ev.feasible && ev.objective < best.objective - 1e-12) {
-        accepted.add();
-        best.schedule = std::move(built);
-        best.objective = ev.objective;
-        best.improvements += 1;
-        groups = std::move(cand);
-        improved = true;
-        if (options.on_improvement) {
-          options.on_improvement(best.schedule, best.objective);
-        }
-        break;  // first improvement: restart the neighbourhood
-      } else {
-        rejected.add();
-      }
-    }
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// Compiled path: lazy move generation + delta evaluation. Enumeration
-// order matches neighbours() exactly (relocations, merges, splits), so the
-// accepted-move sequence — and with it evaluations, improvements,
-// objective and the final schedule — is identical to the reference path.
-// ---------------------------------------------------------------------------
-
-/// Lazily enumerates the moves of the current partition in the reference
-/// neighbour order. Regenerated after every accepted move.
+/// Lazily enumerates the moves of the current partition: relocations,
+/// merges, splits, in the seed search's order, so the accepted-move
+/// sequence (and with it evaluations, improvements, objective and the
+/// final schedule) matches the seed rebuild-per-candidate search.
+/// Regenerated after every accepted move.
 class MoveGen {
  public:
   explicit MoveGen(const DeltaEvaluator& ev) : ev_(ev), n_(ev.num_groups()) {}
@@ -389,9 +197,6 @@ LocalSearchResult improve_any(const LetComms& comms,
   });
   sampler.start();
   LocalSearchResult best = [&]() {
-    if (options.engine == LocalSearchEngine::kReference) {
-      return improve_reference(comms, start, options);
-    }
     if (compiled != nullptr) {
       return improve_compiled(*compiled, start, options);
     }

@@ -1,15 +1,15 @@
 // Equivalence of the compiled delta evaluator against the seed
-// rebuild-per-candidate path.
+// rebuild-per-candidate path (tests/support/ls_reference.hpp).
 //
 // Three layers of evidence:
-//   1. improve_schedule(kCompiled) and improve_schedule(kReference) walk
-//      the same accepted-move sequence on WATERS and on randomized
-//      instances — identical evaluation/improvement counts, identical
-//      objective bits, identical final layouts and transfer lists;
-//   2. DeltaEvaluator::evaluate agrees move-by-move with an independent
-//      in-test reimplementation of the seed evaluation (order_feasible +
-//      build_from_groups + worst_case_latencies + deadline check) over the
-//      full first neighbourhood;
+//   1. improve_schedule and the seed search reference::improve walk the
+//      same accepted-move sequence on WATERS and on randomized instances —
+//      identical evaluation/improvement counts, identical objective bits,
+//      identical final layouts and transfer lists;
+//   2. DeltaEvaluator::evaluate agrees move-by-move with the seed
+//      evaluation (order_feasible + build_from_groups +
+//      worst_case_latencies + deadline check) over the seed's full first
+//      neighbourhood;
 //   3. the deduplicating worst_case_latencies agrees with the seed's
 //      per-(slot, task) map-based loop, re-implemented here.
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "letdma/let/local_search.hpp"
 #include "letdma/model/generator.hpp"
 #include "letdma/waters/waters.hpp"
+#include "ls_reference.hpp"
 
 namespace letdma::let {
 namespace {
@@ -70,18 +71,16 @@ void expect_same_result(const ScheduleResult& a, const ScheduleResult& b,
   }
 }
 
-/// Both engines on one start, full-run comparison.
+/// The seed search and the library search on one start, full-run
+/// comparison.
 void expect_engines_agree(const LetComms& comms, const ScheduleResult& start,
                           LocalSearchGoal goal, int max_evaluations = 4000) {
-  LocalSearchOptions ref;
-  ref.engine = LocalSearchEngine::kReference;
-  ref.goal = goal;
-  ref.max_evaluations = max_evaluations;
-  LocalSearchOptions fast = ref;
-  fast.engine = LocalSearchEngine::kCompiled;
+  LocalSearchOptions opt;
+  opt.goal = goal;
+  opt.max_evaluations = max_evaluations;
 
-  const LocalSearchResult a = improve_schedule(comms, start, ref);
-  const LocalSearchResult b = improve_schedule(comms, start, fast);
+  const LocalSearchResult a = reference::improve(comms, start, opt);
+  const LocalSearchResult b = improve_schedule(comms, start, opt);
 
   EXPECT_EQ(a.evaluations, b.evaluations);
   EXPECT_EQ(a.improvements, b.improvements);
@@ -139,8 +138,8 @@ TEST(DeltaEquivalence, HundredGeneratedInstances) {
     const ScheduleResult start = GreedyScheduler(lc).build();
     if (start.s0_transfers.empty()) continue;
     SCOPED_TRACE("seed " + std::to_string(seed));
-    // Cap the walk so the reference rebuild path stays cheap under ASan;
-    // both engines see the identical budget.
+    // Cap the walk so the seed rebuild path stays cheap under ASan; both
+    // searches see the identical budget.
     expect_engines_agree(lc, start,
                          seed % 2 == 0 ? LocalSearchGoal::kMinMaxLatencyRatio
                                        : LocalSearchGoal::kMinTransfers,
@@ -151,104 +150,15 @@ TEST(DeltaEquivalence, HundredGeneratedInstances) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: move-by-move agreement with an independent seed re-implementation.
+// Layer 2: move-by-move agreement with the seed evaluation.
 // ---------------------------------------------------------------------------
-
-using Groups = std::vector<std::vector<Communication>>;
-
-bool ref_order_feasible(const Groups& groups) {
-  std::map<int, int> task_write_max, task_read_min;
-  std::map<int, int> label_write, label_read_min;
-  for (int gi = 0; gi < static_cast<int>(groups.size()); ++gi) {
-    for (const Communication& c : groups[static_cast<std::size_t>(gi)]) {
-      if (c.dir == Direction::kWrite) {
-        auto [it, fresh] = task_write_max.try_emplace(c.task.value, gi);
-        if (!fresh) it->second = std::max(it->second, gi);
-        label_write[c.label.value] = gi;
-      } else {
-        auto [it, fresh] = task_read_min.try_emplace(c.task.value, gi);
-        if (!fresh) it->second = std::min(it->second, gi);
-        auto [lt, lfresh] = label_read_min.try_emplace(c.label.value, gi);
-        if (!lfresh) lt->second = std::min(lt->second, gi);
-      }
-    }
-  }
-  for (const auto& [task, wmax] : task_write_max) {
-    const auto it = task_read_min.find(task);
-    if (it != task_read_min.end() && wmax >= it->second) return false;
-  }
-  for (const auto& [label, wg] : label_write) {
-    const auto it = label_read_min.find(label);
-    if (it != label_read_min.end() && wg >= it->second) return false;
-  }
-  return true;
-}
-
-struct RefEval {
-  bool feasible = false;
-  double objective = 0.0;
-};
-
-RefEval ref_evaluate(const LetComms& comms, const Groups& groups,
-                     LocalSearchGoal goal) {
-  RefEval ev;
-  if (!ref_order_feasible(groups)) return ev;
-  const model::Application& app = comms.app();
-  const ScheduleResult built = build_from_groups(comms, groups);
-  const std::vector<Time> wc = worst_case_latencies(
-      comms, built.schedule, ReadinessSemantics::kProposed);
-  double worst_ratio = 0.0;
-  for (int task = 0; task < static_cast<int>(wc.size()); ++task) {
-    const model::Task& t = app.task(model::TaskId{task});
-    const Time lam = wc[static_cast<std::size_t>(task)];
-    if (t.acquisition_deadline && lam > *t.acquisition_deadline) return ev;
-    worst_ratio = std::max(worst_ratio, static_cast<double>(lam) /
-                                            static_cast<double>(t.period));
-  }
-  ev.feasible = true;
-  ev.objective = goal == LocalSearchGoal::kMinTransfers
-                     ? static_cast<double>(built.s0_transfers.size())
-                     : worst_ratio;
-  return ev;
-}
-
-/// Applies a ScheduleDelta to comm groups with the seed's move semantics.
-Groups apply_move(const Groups& g, const ScheduleDelta& move) {
-  Groups cand = g;
-  switch (move.kind) {
-    case ScheduleDelta::Kind::kRelocate: {
-      std::vector<Communication> moved =
-          std::move(cand[static_cast<std::size_t>(move.from)]);
-      cand.erase(cand.begin() + move.from);
-      cand.insert(cand.begin() + move.to, std::move(moved));
-      break;
-    }
-    case ScheduleDelta::Kind::kMerge: {
-      auto& dst = cand[static_cast<std::size_t>(move.from)];
-      const auto& src = cand[static_cast<std::size_t>(move.to)];
-      dst.insert(dst.end(), src.begin(), src.end());
-      cand.erase(cand.begin() + move.to);
-      break;
-    }
-    case ScheduleDelta::Kind::kSplit: {
-      auto& grp = cand[static_cast<std::size_t>(move.from)];
-      const std::size_t half = grp.size() / 2;
-      std::vector<Communication> tail(
-          grp.begin() + static_cast<std::ptrdiff_t>(half), grp.end());
-      grp.resize(half);
-      cand.insert(cand.begin() + move.from + 1, std::move(tail));
-      break;
-    }
-  }
-  return cand;
-}
 
 void expect_moves_agree(const LetComms& comms, LocalSearchGoal goal) {
   const CompiledComms compiled(comms);
   const ScheduleResult start = GreedyScheduler(compiled).build();
   ASSERT_FALSE(start.s0_transfers.empty());
 
-  Groups groups;
+  reference::Groups groups;
   std::vector<std::vector<int>> id_groups;
   for (const DmaTransfer& t : start.s0_transfers) {
     groups.push_back(t.comms);
@@ -260,33 +170,12 @@ void expect_moves_agree(const LetComms& comms, LocalSearchGoal goal) {
 
   // The full first neighbourhood: relocations, merges, splits in the
   // search's enumeration order.
-  std::vector<ScheduleDelta> moves;
-  const int n = static_cast<int>(groups.size());
-  for (int i = 0; i < n; ++i) {
-    for (int j = std::max(0, i - 4); j <= std::min(n - 1, i + 4); ++j) {
-      if (j != i) {
-        moves.push_back({ScheduleDelta::Kind::kRelocate, i, j});
-      }
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (ev.group_mem(i) == ev.group_mem(j) &&
-          ev.group_is_write(i) == ev.group_is_write(j)) {
-        moves.push_back({ScheduleDelta::Kind::kMerge, i, j});
-      }
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    if (groups[static_cast<std::size_t>(i)].size() >= 2) {
-      moves.push_back({ScheduleDelta::Kind::kSplit, i, -1});
-    }
-  }
-
   int checked = 0;
-  for (const ScheduleDelta& move : moves) {
+  for (const ScheduleDelta& move :
+       reference::neighbour_moves(comms.app(), groups)) {
     const DeltaEval fast = ev.evaluate(move);
-    const RefEval ref = ref_evaluate(comms, apply_move(groups, move), goal);
+    const reference::Evaluation ref = reference::evaluate(
+        comms, reference::apply_move(groups, move), goal);
     EXPECT_EQ(fast.feasible, ref.feasible) << "move " << checked;
     if (fast.feasible) {
       EXPECT_EQ(fast.objective, ref.objective) << "move " << checked;
