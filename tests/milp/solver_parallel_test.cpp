@@ -178,13 +178,25 @@ TEST(MilpParallel, SameOptimumAnyThreadCount) {
 // Cooperative cancellation mid-solve: raise the stop token from the
 // incumbent callback (so an incumbent provably exists) and require the
 // solve to come back promptly with that incumbent, workers joined, and the
-// cancellation recorded.
+// cancellation recorded. The instance's tree must outlive its first
+// incumbent by a wide margin, or the search can close before any worker
+// polls the token and kOptimal is then the right answer; an unstopped
+// solve checks that premise first (hard_knapsack(27, 3) explores about
+// 4000 nodes after its first incumbent).
 TEST(MilpParallel, CancellationReturnsBestIncumbent) {
-  Model model = hard_knapsack(42, 40);
-  std::atomic<bool> stop{false};
+  Model model = hard_knapsack(27, 3);
   MilpOptions opt;
   opt.threads = 4;
   opt.time_limit_sec = 300.0;  // the stop token, not the clock, ends this
+  {
+    MilpSolver unstopped(model, opt);
+    const MilpResult full = unstopped.solve();
+    ASSERT_EQ(full.status, MilpStatus::kOptimal);
+    ASSERT_FALSE(full.stats.incumbents.empty());
+    ASSERT_GE(full.stats.nodes_explored - full.stats.incumbents[0].nodes, 100)
+        << "the tree closes too soon after its first incumbent";
+  }
+  std::atomic<bool> stop{false};
   opt.stop = &stop;
   std::atomic<int> incumbents{0};
   opt.on_incumbent = [&](const std::vector<double>&, double) {
