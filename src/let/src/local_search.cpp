@@ -174,10 +174,17 @@ LocalSearchResult improve_compiled(const CompiledComms& compiled,
   return best;
 }
 
-LocalSearchResult improve_any(const LetComms& comms,
-                              const CompiledComms* compiled,
-                              const ScheduleResult& start,
-                              const LocalSearchOptions& options) {
+}  // namespace
+
+LocalSearchResult improve_schedule(const LetComms& comms,
+                                   const ScheduleResult& start,
+                                   LocalSearchOptions options) {
+  return improve_schedule(CompiledComms(comms), start, options);
+}
+
+LocalSearchResult improve_schedule(const CompiledComms& compiled,
+                                   const ScheduleResult& start,
+                                   LocalSearchOptions options) {
   LETDMA_ENSURE(!start.s0_transfers.empty(),
                 "local search needs a non-empty starting schedule");
   obs::ScopedSpan span("let.local_search", "let");
@@ -196,33 +203,13 @@ LocalSearchResult improve_any(const LetComms& comms,
     return hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
   });
   sampler.start();
-  LocalSearchResult best = [&]() {
-    if (compiled != nullptr) {
-      return improve_compiled(*compiled, start, options);
-    }
-    const CompiledComms local(comms);
-    return improve_compiled(local, start, options);
-  }();
+  LocalSearchResult best = improve_compiled(compiled, start, options);
   static obs::Counter evaluations("let.local_search.evaluations");
   evaluations.add(best.evaluations);
   span.arg("evaluations", static_cast<std::int64_t>(best.evaluations));
   span.arg("improvements", static_cast<std::int64_t>(best.improvements));
   span.arg("objective", best.objective);
   return best;
-}
-
-}  // namespace
-
-LocalSearchResult improve_schedule(const LetComms& comms,
-                                   const ScheduleResult& start,
-                                   LocalSearchOptions options) {
-  return improve_any(comms, nullptr, start, options);
-}
-
-LocalSearchResult improve_schedule(const CompiledComms& compiled,
-                                   const ScheduleResult& start,
-                                   LocalSearchOptions options) {
-  return improve_any(compiled.let_comms(), &compiled, start, options);
 }
 
 }  // namespace letdma::let
