@@ -7,7 +7,8 @@
 //   ./micro_milp --check BASELINE             skip the harness; measure B&B
 //       node throughput on the gate instance, emit metrics, and exit
 //       non-zero when it regressed more than 20% below the committed
-//       baseline (bench/baselines/milp_baseline.json).
+//       baseline (bench/baselines/milp_baseline.json); then the presolve
+//       gate and the WATERS node-LP gate (see run_waters_gate).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,6 +21,8 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "letdma/let/let_comms.hpp"
+#include "letdma/let/milp_scheduler.hpp"
 #include "letdma/milp/solver.hpp"
 #include "letdma/support/rng.hpp"
 
@@ -208,6 +211,64 @@ int run_presolve_gate() {
   return 0;
 }
 
+/// The WATERS node-LP gate: LP iterations per non-root node of OBJ-DEL on
+/// the paper's instance (alpha = 0.2, sequential B&B to a fixed node cap),
+/// as a share of the root's cold solve. Node LPs re-solve warm from the
+/// root's tableau, so a child costs a few percent of the root; a share
+/// above the committed ceiling means node LPs went back to solving from
+/// scratch. The counts are deterministic, so the gate needs no repeats.
+int run_waters_gate(const std::string& baseline_path) {
+  std::ifstream in(baseline_path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  double cap = 0.0, ceiling = 0.0;
+  if (!bench::json_number(buf.str(), "waters_node_cap", &cap) ||
+      !bench::json_number(buf.str(), "waters_nonroot_lp_share_max",
+                          &ceiling) ||
+      cap < 2 || ceiling <= 0.0) {
+    std::fprintf(stderr, "baseline %s has no WATERS node-LP gate fields\n",
+                 baseline_path.c_str());
+    return 1;
+  }
+  const auto app = bench::waters_with_alpha(0.2);
+  if (!app) return 2;
+  const let::LetComms comms(*app);
+  const auto solve = [&](long node_cap) {
+    let::MilpSchedulerOptions o;
+    o.objective = let::MilpObjective::kMinLatencyRatio;
+    o.solver.threads = 1;
+    o.solver.time_limit_sec = 300;
+    o.solver.node_limit = node_cap;
+    return let::MilpScheduler(comms, o).solve().stats;
+  };
+  const milp::MilpStats root = solve(1);
+  const milp::MilpStats tree = solve(static_cast<long>(cap));
+  if (root.nodes_explored != 1 || tree.nodes_explored < 2) {
+    std::fprintf(stderr, "WATERS gate explored %ld / %ld nodes\n",
+                 root.nodes_explored, tree.nodes_explored);
+    return 2;
+  }
+  const double per_node =
+      static_cast<double>(tree.lp_iterations - root.lp_iterations) /
+      static_cast<double>(tree.nodes_explored - 1);
+  const double share = per_node / static_cast<double>(root.lp_iterations);
+  std::printf("WATERS OBJ-DEL %ld nodes: root LP %ld iterations, %.1f per "
+              "non-root node (%ld warm fallbacks)\n",
+              tree.nodes_explored, root.lp_iterations, per_node,
+              tree.warm_fallbacks);
+  bench::append_metrics(
+      "micro_milp", "waters-node-lp",
+      {{"nodes", static_cast<std::int64_t>(tree.nodes_explored)},
+       {"root_lp_iterations", static_cast<std::int64_t>(root.lp_iterations)},
+       {"nonroot_lp_iterations_per_node", per_node},
+       {"nonroot_lp_share", share},
+       {"warm_fallbacks", static_cast<std::int64_t>(tree.warm_fallbacks)}});
+  const bool ok = share <= ceiling;
+  std::printf("check: WATERS non-root LP share %.3f vs ceiling %.3f: %s\n",
+              share, ceiling, ok ? "ok" : "REGRESSION");
+  return ok ? 0 : 1;
+}
+
 /// Nightly regression gate: branch-and-bound node throughput summed over a
 /// fixed batch of knapsack instances, repeat-and-best to filter scheduler
 /// noise. The total node count is deterministic for the sequential solver,
@@ -268,7 +329,11 @@ int run_check(const std::string& baseline_path) {
   const int rc = bench::check_baseline(baseline_path, "nodes_per_sec",
                                        "nodes/sec", nodes_per_sec);
   const int presolve_rc = run_presolve_gate();
-  return rc != 0 ? rc : presolve_rc;
+  const int waters_rc = run_waters_gate(baseline_path);
+  for (const int code : {rc, presolve_rc, waters_rc}) {
+    if (code != 0) return code;
+  }
+  return 0;
 }
 
 }  // namespace

@@ -100,6 +100,9 @@ class MilpScheduler {
   /// Number of variables / eager rows of the built model (for reporting).
   int model_vars() const;
   int model_rows() const;
+  /// The built model (eager rows only; solve() adds presolve cuts and lazy
+  /// rows to it). For tests and benches that exercise the LP layer on it.
+  const milp::Model& model() const;
 
  private:
   struct Impl;

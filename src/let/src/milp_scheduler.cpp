@@ -1007,6 +1007,7 @@ int MilpScheduler::model_vars() const { return impl_->model.num_vars(); }
 int MilpScheduler::model_rows() const {
   return impl_->model.num_constraints();
 }
+const milp::Model& MilpScheduler::model() const { return impl_->model; }
 
 MilpScheduleResult MilpScheduler::solve() {
   Impl& im = *impl_;

@@ -349,15 +349,24 @@ class TaskPool {
   std::vector<std::thread> threads_;
 };
 
-/// Per-worker scratch for materialized node bounds.
-struct NodeBounds {
+/// Per-worker scratch: the node's materialized bounds and the tableau its
+/// relaxation is re-solved in.
+struct NodeScratch {
   std::vector<double> lb, ub;
+  LpState lp;
+  /// The node whose optimal tableau `lp` holds, when a plunging loop may
+  /// start its children from it (null otherwise).
+  std::shared_ptr<const Node> lp_node;
 };
 
 /// What the node step observed; Search::commit consumes it.
 struct NodeEval {
   LpStatus status = LpStatus::kIterLimit;
   long iterations = 0;
+  bool warm_fallback = false;  // the warm re-solve gave up (counted)
+  /// The root's optimal tableau, for commit to install as the snapshot
+  /// every later node re-solves from.
+  std::unique_ptr<LpState> root_lp;
   int rows = 0;           // model rows the relaxation was solved against
   double node_obj = 0.0;  // internal minimize sense (kOptimal only)
   BranchPick pick;        // var -1: integral, and `x` is snapped
@@ -506,17 +515,39 @@ class Search {
   /// The node step: materializes the node's bounds, solves its relaxation
   /// (timed into milp.node_lp_us when `sampled`) and picks the branching
   /// variable against `pseudo`. Writes only `nb` and the returned value.
-  NodeEval evaluate(const Node& node, NodeBounds& nb,
+  /// The root solves cold and hands its tableau to commit; every other
+  /// node re-solves warm in the worker's own tableau. A plunging loop
+  /// starts a node from the tableau the worker left for its parent (or for
+  /// the node itself, after lazy rows), else from a copy of the root's
+  /// snapshot. The epoch loop always copies the snapshot, so there a
+  /// node's LP depends only on (snapshot, bounds), whichever slot runs it.
+  NodeEval evaluate(const NodePtr& self, NodeScratch& nb,
                     const std::vector<Pseudocost>& pseudo, bool sampled) {
     std::shared_lock<std::shared_mutex> ml(model_mu);
+    const Node& node = *self;
     NodeEval ev;
     ev.rows = model_.num_constraints();
     intersect_node_bounds(model_, options_, presolved_, node, nb.lb, nb.ub);
     const int n = model_.num_vars();
-    LpResult rel =
-        timed_lp(sampled, [&] { return lp_.solve_with_bounds(nb.lb, nb.ub); });
+    const bool chained = nb.lp_node != nullptr &&
+                         (nb.lp_node == self || nb.lp_node == node.parent);
+    LpResult rel = timed_lp(sampled, [&] {
+      if (chained) {
+        lp_.extend(nb.lp);  // rows/columns that landed since
+        return lp_.resolve(nb.lp, nb.lb, nb.ub, nb.lp);
+      }
+      if (root_lp_.valid()) return lp_.resolve(root_lp_, nb.lb, nb.ub, nb.lp);
+      ev.root_lp = std::make_unique<LpState>();
+      return lp_.solve_with_bounds(nb.lb, nb.ub, ev.root_lp.get());
+    });
+    nb.lp_node = nullptr;
+    if (rel.status == LpStatus::kOptimal && ev.root_lp == nullptr &&
+        !options_.deterministic) {
+      nb.lp_node = self;
+    }
     ev.status = rel.status;
     ev.iterations = rel.iterations;
+    ev.warm_fallback = rel.warm_fallback;
     if (rel.status != LpStatus::kOptimal) return ev;
     ev.node_obj = sense_sign_ * rel.objective;
     ev.pick = pick_branch(model_, rel.x, n, pseudo, options_.int_tol);
@@ -539,6 +570,12 @@ class Search {
               std::vector<Pseudocost>& pseudo, WorkerStats& ws) {
     const Node& node = *self;
     ws.lp_iterations += ev.iterations;
+    ws.warm_fallbacks += ev.warm_fallback ? 1 : 0;
+    if (ev.root_lp != nullptr && ev.root_lp->valid()) {
+      // Only the root solves cold, and it commits before any child exists.
+      std::unique_lock<std::shared_mutex> mlw(model_mu);
+      if (!root_lp_.valid()) root_lp_ = std::move(*ev.root_lp);
+    }
     if (ev.status == LpStatus::kInfeasible) return {};
     if (ev.status != LpStatus::kOptimal) {
       if (ev.status == LpStatus::kUnbounded &&
@@ -572,6 +609,9 @@ class Search {
             model_.add_constraint(std::move(r.expr), r.sense, r.rhs,
                                   std::move(r.name));
           }
+          // New rows enter the snapshot with basic slacks and new columns
+          // nonbasic, so later re-solves stay warm.
+          if (root_lp_.valid()) lp_.extend(root_lp_);
         }
         if (!rows.empty()) {
           ++stats_.separation_rounds;
@@ -600,10 +640,10 @@ class Search {
   /// Node step plus commit, re-solved in place while lazy rows land (the
   /// plunging loops; epochs requeue instead). `idx` is the node's index
   /// in exploration order: every 16th node LP is timed.
-  Step process(const NodePtr& node, NodeBounds& nb,
+  Step process(const NodePtr& node, NodeScratch& nb,
                std::vector<Pseudocost>& pseudo, WorkerStats& ws, long idx) {
     for (;;) {
-      NodeEval ev = evaluate(*node, nb, pseudo, (idx & 0xF) == 0);
+      NodeEval ev = evaluate(node, nb, pseudo, (idx & 0xF) == 0);
       Step step = commit(node, ev, pseudo, ws);
       if (!step.resolve) return step;
     }
@@ -617,6 +657,7 @@ class Search {
     for (const WorkerStats& ws : wstats) {
       stats_.lp_iterations += ws.lp_iterations;
       stats_.nodes_pruned += ws.nodes_pruned;
+      stats_.warm_fallbacks += ws.warm_fallbacks;
     }
     stats_.per_worker = wstats;
     stats_.cancelled = cancelled_.load();
@@ -693,6 +734,10 @@ class Search {
   const double sense_sign_;
   const bool has_integers_;
   const SimplexSolver lp_;  // stateless: every worker solves through it
+  /// The root relaxation's optimal tableau (guarded by model_mu; written
+  /// once by the root's commit, extended under the writer lock when lazy
+  /// rows or columns land).
+  LpState root_lp_;
   PresolveResult presolved_;
   MilpStats stats_;
 
@@ -714,7 +759,7 @@ class Search {
 
 double run_sequential(Search& s) {
   WorkerStats& ws = s.wstats[0];
-  NodeBounds nb;
+  NodeScratch nb;
   std::vector<Pseudocost> pseudo;
   OpenQueue open = root_queue();
   NodePtr plunge;
@@ -762,7 +807,7 @@ double run_parallel(Search& s) {
   auto worker_fn = [&](int w) {
     WorkerStats& ws = s.wstats[static_cast<std::size_t>(w)];
     double& my_bound = worker_bound[static_cast<std::size_t>(w)];
-    NodeBounds nb;
+    NodeScratch nb;
     std::vector<Pseudocost> pseudo;
     NodePtr plunge;
     try {
@@ -893,7 +938,7 @@ double run_deterministic(Search& s) {
   const std::size_t batch_cap = static_cast<std::size_t>(
       std::max(1, s.options().deterministic_batch));
   TaskPool pool(nthreads);
-  std::vector<NodeBounds> bounds(static_cast<std::size_t>(nthreads));
+  std::vector<NodeScratch> bounds(static_cast<std::size_t>(nthreads));
   std::vector<Pseudocost> pseudo;
   OpenQueue open = root_queue();
 
@@ -929,7 +974,7 @@ double run_deterministic(Search& s) {
       t.dropped = s.dropped_by_fault("milp.worker") ||
                   s.dropped_by_fault("milp.node");
       if (t.dropped) return;
-      t.ev = s.evaluate(*t.node, bounds[static_cast<std::size_t>(slot)],
+      t.ev = s.evaluate(t.node, bounds[static_cast<std::size_t>(slot)],
                         pseudo, (t.idx & 0xF) == 0);
     });
 

@@ -239,7 +239,7 @@ TEST(MilpParallel, WorkerStatsSumToTotals) {
     ASSERT_EQ(r.stats.per_worker.size(),
               static_cast<std::size_t>(mode.threads))
         << mode.name;
-    long nodes = 0, pruned = 0, lp_iters = 0;
+    long nodes = 0, pruned = 0, lp_iters = 0, fallbacks = 0;
     int found = 0;
     for (std::size_t w = 0; w < r.stats.per_worker.size(); ++w) {
       EXPECT_EQ(r.stats.per_worker[w].worker, static_cast<int>(w));
@@ -247,11 +247,81 @@ TEST(MilpParallel, WorkerStatsSumToTotals) {
       pruned += r.stats.per_worker[w].nodes_pruned;
       lp_iters += r.stats.per_worker[w].lp_iterations;
       found += r.stats.per_worker[w].incumbents_found;
+      fallbacks += r.stats.per_worker[w].warm_fallbacks;
     }
     EXPECT_EQ(nodes, r.stats.nodes_explored) << mode.name;
     EXPECT_EQ(pruned, r.stats.nodes_pruned) << mode.name;
     EXPECT_EQ(lp_iters, r.stats.lp_iterations) << mode.name;
     EXPECT_EQ(found, r.stats.incumbent_improvements()) << mode.name;
+    EXPECT_EQ(fallbacks, r.stats.warm_fallbacks) << mode.name;
+  }
+}
+
+// Shared root snapshot. Every worker re-solves its nodes warm from the
+// root's tableau (epoch loop) or from its own chain (plunging loops), and
+// lazy rows extend the snapshot under the model writer lock while other
+// workers read it. TSan runs these; the assertions pin what sharing must
+// not change.
+
+/// hard_knapsack with the pair-conflict rows supplied lazily, solved with
+/// `opt`.
+MilpResult solve_lazy_knapsack(int n, std::uint64_t seed, MilpOptions opt) {
+  Model model = hard_knapsack(n, seed);
+  MilpSolver solver(model, opt);
+  solver.set_lazy_callback([n](const std::vector<double>& x) {
+    std::vector<LazyRow> rows;
+    for (int i = 0; i + 1 < n; i += 2) {
+      if (x[static_cast<std::size_t>(i)] + x[static_cast<std::size_t>(i + 1)] >
+          1.0 + 1e-6) {
+        rows.push_back({LinExpr(Var{i}) + LinExpr(Var{i + 1}), Sense::kLe,
+                        1.0, "pair" + std::to_string(i)});
+      }
+    }
+    return rows;
+  });
+  return solver.solve();
+}
+
+TEST(MilpParallel, SharedSnapshotLazyRowsSameOptimum) {
+  MilpOptions seq;
+  seq.threads = 1;
+  for (std::uint64_t seed = 3; seed <= 6; ++seed) {
+    const MilpResult ref = solve_lazy_knapsack(20, seed, seq);
+    ASSERT_EQ(ref.status, MilpStatus::kOptimal);
+    ASSERT_GT(ref.stats.lazy_rows_added, 0);
+    for (const bool det : {false, true}) {
+      MilpOptions opt;
+      opt.threads = 4;
+      opt.deterministic = det;
+      const MilpResult r = solve_lazy_knapsack(20, seed, opt);
+      ASSERT_EQ(r.status, MilpStatus::kOptimal) << "seed " << seed;
+      EXPECT_NEAR(r.objective, ref.objective, 1e-6) << "seed " << seed;
+      EXPECT_EQ(r.stats.warm_fallbacks, 0) << "seed " << seed;
+    }
+  }
+}
+
+TEST(MilpParallel, SharedSnapshotEpochThreadCountInvariant) {
+  // Lazy rows land mid-search and extend the snapshot; the epoch loop must
+  // still walk one tree for every worker count.
+  const auto run = [](int threads) {
+    MilpOptions opt;
+    opt.threads = threads;
+    opt.deterministic = true;
+    opt.deterministic_batch = 4;
+    return solve_lazy_knapsack(18, 5, opt);
+  };
+  const MilpResult one = run(1);
+  ASSERT_EQ(one.status, MilpStatus::kOptimal);
+  ASSERT_GT(one.stats.lazy_rows_added, 0);
+  for (const int threads : {2, 4}) {
+    const MilpResult r = run(threads);
+    EXPECT_EQ(r.stats.nodes_explored, one.stats.nodes_explored) << threads;
+    EXPECT_EQ(r.stats.lp_iterations, one.stats.lp_iterations) << threads;
+    EXPECT_EQ(r.stats.warm_fallbacks, one.stats.warm_fallbacks) << threads;
+    EXPECT_EQ(r.stats.lazy_rows_added, one.stats.lazy_rows_added) << threads;
+    EXPECT_TRUE(same_bits(r.objective, one.objective)) << threads;
+    EXPECT_EQ(r.x, one.x) << threads;
   }
 }
 
@@ -369,12 +439,12 @@ MilpOptions pinned_options(bool deterministic, int threads, int batch) {
 }
 
 TEST(MilpParallelPinned, KnapsackTreePerMode) {
-  const Pinned seq = {42, 546, 38, 0x1.35ffffffffffdp+8, 0x1.35ffffffffffdp+8,
-                      {{0x1.3p+8, 23}, {0x1.35ffffffffffdp+8, 42}}};
-  const Pinned det8 = {15, 338, 10, 0x1.3600000000001p+8,
-                       0x1.3600000000001p+8, {{0x1.3600000000001p+8, 15}}};
-  const Pinned det4 = {11, 248, 10, 0x1.3600000000001p+8,
-                       0x1.3600000000001p+8, {{0x1.3600000000001p+8, 11}}};
+  const Pinned seq = {16, 42, 15, 0x1.35fffffffffedp+8, 0x1.35fffffffffedp+8,
+                      {{0x1.35fffffffffedp+8, 16}}};
+  const Pinned det8 = {15, 45, 10, 0x1.35ffffffffff9p+8,
+                       0x1.35ffffffffff9p+8, {{0x1.35ffffffffff9p+8, 15}}};
+  const Pinned det4 = {11, 37, 10, 0x1.35ffffffffff9p+8,
+                       0x1.35ffffffffff9p+8, {{0x1.35ffffffffff9p+8, 11}}};
   expect_pinned(solve_fresh(11, 24, pinned_options(false, 1, 8)), seq,
                 "sequential");
   expect_pinned(solve_fresh(11, 24, pinned_options(true, 1, 8)), det8,
@@ -388,12 +458,12 @@ TEST(MilpParallelPinned, KnapsackTreePerMode) {
 }
 
 TEST(MilpParallelPinned, LazyTreePerMode) {
-  const Pinned seq = {87, 916, 46, 0x1.9p+7, 0x1.9p+7,
-                      {{0x1.76p+7, 9}, {0x1.84p+7, 12}, {0x1.8cp+7, 43},
-                       {0x1.8ep+7, 58}, {0x1.9p+7, 87}}};
-  const Pinned det = {167, 1433, 49, 0x1.9p+7, 0x1.9p+7,
-                      {{0x1.6ap+7, 83}, {0x1.82p+7, 87}, {0x1.88p+7, 147},
-                       {0x1.9p+7, 167}}};
+  const Pinned seq = {88, 279, 45, 0x1.8ffffffffffffp+7, 0x1.8ffffffffffffp+7,
+                      {{0x1.57ffffffffffep+7, 41},
+                       {0x1.8dffffffffff9p+7, 43},
+                       {0x1.8ffffffffffffp+7, 77}}};
+  const Pinned det = {28, 199, 15, 0x1.8fffffffffffep+7, 0x1.8fffffffffffep+7,
+                      {{0x1.8400000000002p+7, 19}, {0x1.8fffffffffffep+7, 23}}};
   const auto solve = [](const MilpOptions& opt) {
     Model model = hard_knapsack(16, 4);
     MilpSolver solver(model, opt);
@@ -408,12 +478,10 @@ TEST(MilpParallelPinned, LazyTreePerMode) {
 }
 
 TEST(MilpParallelPinned, WarmStartedTreePerMode) {
-  const Pinned seq = {42, 546, 38, 0x1.35ffffffffffdp+8, 0x1.35ffffffffffdp+8,
-                      {{0x1.5p+7, 0}, {0x1.3p+8, 23},
-                       {0x1.35ffffffffffdp+8, 42}}};
-  const Pinned det = {11, 248, 10, 0x1.3600000000001p+8,
-                      0x1.3600000000001p+8,
-                      {{0x1.5p+7, 0}, {0x1.3600000000001p+8, 11}}};
+  const Pinned seq = {16, 42, 15, 0x1.35fffffffffedp+8, 0x1.35fffffffffedp+8,
+                      {{0x1.5p+7, 0}, {0x1.35fffffffffedp+8, 16}}};
+  const Pinned det = {11, 37, 10, 0x1.35ffffffffff9p+8, 0x1.35ffffffffff9p+8,
+                      {{0x1.5p+7, 0}, {0x1.35ffffffffff9p+8, 11}}};
   const auto solve = [](const MilpOptions& opt) {
     Model model = hard_knapsack(24, 11);
     MilpSolver solver(model, opt);
